@@ -312,7 +312,7 @@ func BenchmarkEndToEndPatFS(b *testing.B) {
 
 // BenchmarkPipelineParallel runs the BENCH_pipeline.json configuration
 // (3-fold CV, Pat_FS+SVM, min_sup 0.15, austral) at several worker
-// counts. Folds, per-class mining, the MMRFS gain scan, and the
+// counts. Folds, per-class mining, MMRFS relevance scoring, and the
 // one-vs-one SVM subproblems all schedule through internal/parallel, so
 // on a multi-core machine the workers=GOMAXPROCS variant should
 // approach fold-level speedup; on one core every variant collapses to

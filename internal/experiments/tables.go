@@ -390,9 +390,9 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 		for i, pt := range mined {
 			cands[i] = featsel.Candidate{Items: pt.Items, Cover: b.Cover(pt.Items)}
 		}
-		sel, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: cfg.Coverage})
+		sel, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: cfg.Coverage, Ctx: cfg.Ctx})
 		if err != nil {
-			return rows, err
+			return rows, fmt.Errorf("scalability %s min_sup=%d: %w", cfg.Dataset, abs, err)
 		}
 		row.Time = time.Since(t0) // mining + feature selection, as in the paper
 

@@ -80,11 +80,10 @@ type Options struct {
 	// selection run (candidates, selected, coverage residual). Nil
 	// disables logging.
 	Log *slog.Logger
-	// Workers bounds the per-iteration gain scan's worker pool
-	// (0 = GOMAXPROCS, 1 = sequential). Selection is deterministic for
-	// any worker count: the scan is a chunked reduction merged in chunk
-	// order with a strict-inequality tie-break, so the selected feature
-	// set is bit-for-bit identical to the sequential run.
+	// Workers bounds the worker pool that scores candidate relevance
+	// (0 = GOMAXPROCS, 1 = sequential). The greedy argmax itself is a
+	// sequential lazy heap, so the selected set, the audit trail and
+	// the counters are identical at any worker count.
 	Workers parallel.Workers
 	// Faults, when non-nil, enables deterministic fault injection at
 	// the selection entry (point featsel.mmrfs). Nil is free.
@@ -114,7 +113,7 @@ type Result struct {
 }
 
 // AuditEntry records one MMRFS iteration's decision: which candidate
-// the gain scan picked, the Eq. 10 quantities behind the pick, and
+// the greedy argmax picked, the Eq. 10 quantities behind the pick, and
 // whether the coverage test accepted it.
 type AuditEntry struct {
 	// Iteration numbers decisions from 1.
@@ -135,9 +134,9 @@ type AuditEntry struct {
 	Reason   string `json:"reason"`
 }
 
-// parallelMinCandidates is the candidate-pool size below which the
-// gain scan stays sequential: spawning a chunk per worker costs more
-// than scanning a few hundred candidates in place.
+// parallelMinCandidates is the candidate-pool size below which
+// relevance scoring stays sequential: spawning a chunk per worker costs
+// more than scoring a few hundred candidates in place.
 const parallelMinCandidates = 512
 
 // scoreAll computes S(α) for each candidate, fanning the (independent,
@@ -177,10 +176,10 @@ func scoreAll(cands []Candidate, classMasks []*bitset.Bitset, rel Relevance, w p
 
 // redundancy implements Eq. 9: R(α,β) = P(α,β) / (P(α)+P(β)−P(α,β)) ×
 // min(S(α), S(β)), i.e. the Jaccard similarity of the coverage sets
-// scaled by the smaller relevance.
-func redundancy(a, b Candidate, sa, sb float64) float64 {
-	inter := a.Cover.AndCount(b.Cover)
-	union := a.Cover.Count() + b.Cover.Count() - inter
+// scaled by the smaller relevance. na and nb are the covers' popcounts.
+func redundancy(a, b *bitset.Bitset, na, nb int, sa, sb float64) float64 {
+	inter := a.AndCount(b)
+	union := na + nb - inter
 	if union == 0 {
 		return 0
 	}
@@ -204,6 +203,52 @@ func majorityClass(cov *bitset.Bitset, classMasks []*bitset.Bitset) int {
 	return best
 }
 
+// gainHeap is a binary max-heap of candidate indices under the strict
+// total order (gain descending, index ascending), so its top is the
+// candidate a strict-> scan in index order would pick. Keys live in a
+// slice indexed by candidate.
+type gainHeap struct {
+	idx  []int32
+	gain []float64
+}
+
+func (h *gainHeap) before(a, b int32) bool {
+	ga, gb := h.gain[a], h.gain[b]
+	return ga > gb || (ga == gb && a < b)
+}
+
+// down sifts the entry at position i down to its place.
+func (h *gainHeap) down(i int) {
+	n := len(h.idx)
+	for {
+		best := i
+		if l := 2*i + 1; l < n && h.before(h.idx[l], h.idx[best]) {
+			best = l
+		}
+		if r := 2*i + 2; r < n && h.before(h.idx[r], h.idx[best]) {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		h.idx[i], h.idx[best] = h.idx[best], h.idx[i]
+		i = best
+	}
+}
+
+func (h *gainHeap) init() {
+	for i := len(h.idx)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *gainHeap) pop() {
+	last := len(h.idx) - 1
+	h.idx[0] = h.idx[last]
+	h.idx = h.idx[:last]
+	h.down(0)
+}
+
 // MMRFS runs Algorithm 1 over the candidates. labels[i] is the class of
 // training row i; classMasks partition the rows by class. It returns
 // the selected candidate indices in selection order.
@@ -214,6 +259,14 @@ func majorityClass(cov *bitset.Bitset, classMasks []*bitset.Bitset) int {
 // instance that is not yet covered δ times; it stops when every
 // coverable instance is covered δ times or the candidate pool is
 // exhausted.
+//
+// The argmax is evaluated lazily (Minoux's accelerated greedy). Fs only
+// grows and R ≥ 0, so a candidate's gain never rises, and a gain last
+// computed against an older Fs is an upper bound on the current one.
+// Candidates sit in a max-heap under their last computed gain; a stale
+// top is refreshed against only the features selected since, and a top
+// that is up to date is the exact argmax, with the full scan's
+// lowest-index tie-break.
 func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	g := guard.New(opt.Ctx, guard.Limits{Deadline: opt.Deadline})
@@ -230,7 +283,7 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		}
 	}
 	// The span opens before the candidate buffers (scores, majority,
-	// covered, redundancy caches) are allocated, so its alloc_bytes
+	// counts, redundancy caches, heap) are allocated, so its alloc_bytes
 	// histogram reflects the selection's real footprint instead of the
 	// few KB the greedy loop itself allocates.
 	sp := opt.Obs.Start("mmrfs").
@@ -242,133 +295,105 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		return res, nil
 	}
 
-	majority := make([]int, len(cands))
-	for i, c := range cands {
-		majority[i] = majorityClass(c.Cover, classMasks)
+	// open[c] holds the class-c rows still covered fewer than δ times; a
+	// candidate correctly covers an uncovered instance iff its cover
+	// meets open[majority].
+	open := make([]*bitset.Bitset, len(classMasks))
+	for c := range open {
+		open[c] = bitset.New(n)
+	}
+	for row, y := range labels {
+		if y >= 0 && y < len(open) {
+			open[y].Set(row)
+		}
 	}
 
-	// coverable[i]: some candidate correctly covers row i; rows no
-	// candidate can cover are excluded from the δ-coverage stopping
-	// test, otherwise selection could never terminate.
-	covered := make([]int, n)
-	coverable := 0
+	// Per-candidate state: majority class, cover popcount, the running
+	// max_{β∈Fs} R(candidate, β), and how many selections that max has
+	// seen. coverable counts the rows some candidate correctly covers;
+	// rows no candidate can cover are excluded from the δ-coverage
+	// stopping test, otherwise selection could never terminate.
+	majority := make([]int32, len(cands))
+	count := make([]int32, len(cands))
+	maxRed := make([]float64, len(cands))
+	seen := make([]int32, len(cands))
+	h := gainHeap{idx: make([]int32, 0, len(cands)), gain: make([]float64, len(cands))}
 	coverableMask := bitset.New(n)
+	correct := bitset.New(n)
 	for i, c := range cands {
-		if majority[i] < 0 {
+		m := majorityClass(c.Cover, classMasks)
+		majority[i] = int32(m)
+		if m < 0 {
 			continue
 		}
-		c.Cover.ForEach(func(row int) {
-			if labels[row] == majority[i] && !coverableMask.Get(row) {
-				coverableMask.Set(row)
-				coverable++
-			}
-		})
+		count[i] = int32(c.Cover.Count())
+		correct.CopyFrom(c.Cover)
+		correct.And(open[m])
+		coverableMask.Or(correct)
+		h.gain[i] = res.Relevance[i]
+		h.idx = append(h.idx, int32(i))
 	}
+	h.init()
+	coverable := coverableMask.Count()
+	covered := make([]int, n)
 	fullyCovered := 0
 
-	// maxRed[i] tracks max_{β∈Fs} R(candidate_i, β), updated
-	// incrementally as features join Fs.
-	maxRed := make([]float64, len(cands))
-	inSel := make([]bool, len(cands))
-
-	// The per-iteration scans (gain argmax, redundancy update) go wide
-	// only past the pool-size threshold; each chunk touches its own
-	// index range, and chunk results merge in chunk order with strict
-	// inequalities, reproducing the sequential lowest-index tie-break.
-	workers := opt.Workers.Resolve()
-	if len(cands) < parallelMinCandidates {
-		workers = 1
-	}
-	chunks := parallel.Chunks(len(cands), workers)
-
-	// scanGain returns the best candidate in [lo, hi), first index wins
-	// ties via the strict >.
-	scanGain := func(lo, hi int) (int, float64) {
-		best, bestGain := -1, math.Inf(-1)
-		for i := lo; i < hi; i++ {
-			if inSel[i] || majority[i] < 0 {
-				continue
-			}
-			gain := res.Relevance[i] - maxRed[i]
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		return best, bestGain
+	// dead reports whether candidate i correctly covers no instance still
+	// below δ. covered only grows, so a dead candidate stays dead.
+	dead := func(i int32) bool {
+		return cands[i].Cover.AndCount(open[majority[i]]) == 0
 	}
 
-	// pick returns the unselected candidate with maximal gain, or -1.
-	pick := func() int {
-		if workers <= 1 {
-			best, _ := scanGain(0, len(cands))
-			return best
-		}
-		type chunkBest struct {
-			idx  int
-			gain float64
-		}
-		bests := make([]chunkBest, len(chunks))
-		// Chunks write only their own bests[c] slot and cannot fail.
-		_ = parallel.ForEach(opt.Workers, len(chunks), func(c int) error {
-			idx, gain := scanGain(chunks[c][0], chunks[c][1])
-			bests[c] = chunkBest{idx: idx, gain: gain}
-			return nil
-		})
-		best, bestGain := -1, math.Inf(-1)
-		for _, b := range bests {
-			if b.idx >= 0 && b.gain > bestGain {
-				best, bestGain = b.idx, b.gain
-			}
-		}
-		return best
-	}
-
-	// correctlyCoversUncovered reports whether candidate i correctly
-	// covers at least one instance still below δ.
-	correctlyCoversUncovered := func(i int) bool {
-		found := false
+	add := func(i int32) {
+		res.Selected = append(res.Selected, int(i))
+		m := int(majority[i])
 		cands[i].Cover.ForEach(func(row int) {
-			if !found && labels[row] == majority[i] && covered[row] < opt.Coverage {
-				found = true
-			}
-		})
-		return found
-	}
-
-	// updateRed refreshes maxRed[j] for j in [lo, hi) against the newly
-	// selected candidate i; writes are index-partitioned by chunk.
-	updateRed := func(i, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if inSel[j] || majority[j] < 0 {
-				continue
-			}
-			r := redundancy(cands[j], cands[i], res.Relevance[j], res.Relevance[i])
-			if r > maxRed[j] {
-				maxRed[j] = r
-			}
-		}
-	}
-
-	add := func(i int) {
-		inSel[i] = true
-		res.Selected = append(res.Selected, i)
-		cands[i].Cover.ForEach(func(row int) {
-			if labels[row] == majority[i] {
+			if labels[row] == m {
 				covered[row]++
 				if covered[row] == opt.Coverage {
 					fullyCovered++
+					open[m].Clear(row)
 				}
 			}
 		})
-		if workers <= 1 {
-			updateRed(i, 0, len(cands))
-			return
+	}
+
+	// A dead candidate is rejected whenever it is picked, and rejecting
+	// it changes no state, so when nothing records the rejection (audit
+	// trail, counters, log) a stale dead top is dropped unrefreshed.
+	skipDead := !opt.Obs.Enabled() && opt.Log == nil
+	var gainEvals, redundancyEvals int64
+
+	// top refreshes stale heap tops until the top is up to date and
+	// returns it, or -1 once the pool is exhausted.
+	top := func() (int32, error) {
+		for len(h.idx) > 0 {
+			if err := g.Check(); err != nil {
+				return -1, err
+			}
+			i := h.idx[0]
+			now := int32(len(res.Selected))
+			if seen[i] == now {
+				return i, nil
+			}
+			if skipDead && dead(i) {
+				h.pop()
+				continue
+			}
+			for _, s := range res.Selected[seen[i]:] {
+				r := redundancy(cands[i].Cover, cands[s].Cover, int(count[i]), int(count[s]),
+					res.Relevance[i], res.Relevance[s])
+				if r > maxRed[i] {
+					maxRed[i] = r
+				}
+			}
+			gainEvals++
+			redundancyEvals += int64(now - seen[i])
+			seen[i] = now
+			h.gain[i] = res.Relevance[i] - maxRed[i]
+			h.down(0)
 		}
-		// Chunks write disjoint maxRed ranges and cannot fail.
-		_ = parallel.ForEach(opt.Workers, len(chunks), func(c int) error {
-			updateRed(i, chunks[c][0], chunks[c][1])
-			return nil
-		})
+		return -1, nil
 	}
 
 	sp.Attr("coverable", coverable)
@@ -378,8 +403,6 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 	audit := opt.Obs.Enabled()
 	dropped := 0
 	for {
-		// Each iteration scans the whole candidate pool (pick + add are
-		// O(|F|)), so poll the guard eagerly rather than amortized.
 		if err := g.CheckNow(); err != nil {
 			sp.End()
 			return nil, err
@@ -390,42 +413,46 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		if fullyCovered >= coverable {
 			break
 		}
-		i := pick()
+		i, err := top()
+		if err != nil {
+			sp.End()
+			return nil, err
+		}
 		if i < 0 {
 			break // pool exhausted
 		}
+		// Algorithm 1 line 7 removes β from F whether or not it is selected.
+		h.pop()
 		iterations.Inc()
-		accepted := correctlyCoversUncovered(i)
+		accepted := !dead(i)
 		if audit {
-			gain := res.Relevance[i] - maxRed[i]
 			reason := "selected"
 			if !accepted {
 				reason = "no-uncovered-instance"
 			}
 			res.Audit = append(res.Audit, AuditEntry{
 				Iteration:  len(res.Audit) + 1,
-				Candidate:  i,
+				Candidate:  int(i),
 				Items:      cands[i].Items,
 				Relevance:  res.Relevance[i],
 				Redundancy: maxRed[i],
-				Gain:       gain,
+				Gain:       h.gain[i],
 				Accepted:   accepted,
 				Reason:     reason,
 			})
-			gainHist.Observe(int64(gain * 1e6))
+			gainHist.Observe(int64(h.gain[i] * 1e6))
 		}
 		if accepted {
 			add(i)
 		} else {
-			// Cannot contribute coverage: drop from the pool without
-			// selecting (Algorithm 1 line 7 removes β from F either way).
-			inSel[i] = true
 			dropped++
 			rejected.Inc()
 		}
 	}
 	opt.Obs.Counter("mmrfs.selected").Add(int64(len(res.Selected)))
 	opt.Obs.Counter("mmrfs.dropped").Add(int64(dropped))
+	opt.Obs.Counter("mmrfs.gain_evals").Add(gainEvals)
+	opt.Obs.Counter("mmrfs.redundancy_evals").Add(redundancyEvals)
 	// Coverage residual: instances some candidate could correctly cover
 	// that still sit below δ when selection stops.
 	opt.Obs.Gauge("mmrfs.coverage_residual").Set(float64(coverable - fullyCovered))
@@ -437,9 +464,6 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 			slog.Int("dropped", dropped),
 			slog.Int("coverage_residual", coverable-fullyCovered))
 	}
-
-	// inSel was reused to mark dropped candidates; rebuild Selected-only
-	// marks are already in res.Selected, nothing to undo.
 	return res, nil
 }
 

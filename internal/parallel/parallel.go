@@ -1,7 +1,7 @@
 // Package parallel is the pipeline's deterministic execution layer: a
 // bounded worker pool over index ranges, built only on the stdlib.
 // Every compute stage that fans out — CV folds, per-class mining, the
-// MMRFS gain scan, one-vs-one SVM subproblems — schedules through
+// MMRFS relevance scoring, one-vs-one SVM subproblems — schedules through
 // ForEach/Map so the concurrency discipline lives in one place.
 //
 // The layer's contract is determinism: for any worker count, the same

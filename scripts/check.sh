@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate: vet, the complete test
 # suite under the race detector (wall-clock bounded so a hung test fails
-# the gate instead of wedging it), and a short fuzz smoke over the
-# dataset parsers. CI and pre-commit both run this.
+# the gate instead of wedging it), the benchmark module's tests, and a
+# short fuzz smoke over the dataset parsers. CI and pre-commit both run
+# this.
 #
 # `check.sh bench` instead runs the bench-regression gate: it rebuilds
 # the per-stage pipeline benchmark (experiments -benchjson) and diffs
@@ -89,6 +90,12 @@ go test -race -timeout 10m ./...
 echo ">> go test -race -count=1 -run 'Determinism|Parallel' ./ ./internal/parallel/ ./internal/mining/ ./internal/svm/ ./internal/eval/ ./internal/featsel/"
 go test -race -count=1 -timeout 10m -run 'Determinism|Parallel' \
 	./ ./internal/parallel/ ./internal/mining/ ./internal/svm/ ./internal/eval/ ./internal/featsel/
+
+# The benchmark is a module of its own (perfbench/go.mod), so ./...
+# above never reaches its tests: the mine-dense fingerprint, exact work
+# counts, and the layer-by-layer rebuild matching core.Fit.
+echo ">> (cd perfbench && go test ./...)"
+(cd perfbench && go test ./...)
 
 # Short fuzz smoke: one target per invocation (go test accepts a single
 # -fuzz pattern), ~10s each. Catches shallow parser crashers early;
